@@ -14,14 +14,13 @@ import (
 
 // This file adapts the protocol state machines to the live wall-clock
 // runtime: live.Protocol descriptors (handler factory + local completion
-// goal) and the wire codecs the TCP transport needs to ship their payloads
-// between processes. The handlers themselves are untouched — the same state
+// goal) and the wire codecs the stream transport needs to ship their
+// payloads between processes. The handlers themselves are untouched — the same state
 // machines run under both engines.
 
 // Preallocated one-byte bit-payload encodings: encoders return them by
 // reference, so the hot path allocates nothing. The transport treats
-// payload bytes as read-only. ASCII digits keep the bytes valid JSON for
-// the legacy line protocol (see live.DecodeBit).
+// payload bytes as read-only (see live.DecodeBit for the encoding).
 var (
 	bitFalse = []byte{'0'}
 	bitTrue  = []byte{'1'}
@@ -30,8 +29,7 @@ var (
 func init() {
 	// bitPayload crosses the wire as a single byte. It is by far the
 	// hottest payload (every push-pull exchange carries two), so it skips
-	// the JSON machinery entirely; the decoder still accepts the JSON bools
-	// older senders emit.
+	// the JSON machinery the rumor payload below uses.
 	live.RegisterPayload("core.bit",
 		func(p sim.Payload) ([]byte, bool) {
 			b, ok := p.(bitPayload)

@@ -12,7 +12,7 @@ import (
 // encodings so the TCP transport can ship them between processes. Protocol
 // packages register their payload types in an init function (see
 // internal/core); in-process transports bypass the registry entirely and
-// pass payloads by reference.
+// pass payloads by reference. Encoded payloads are opaque bytes to the wire.
 
 // PayloadEncoder tries to encode p; ok is false when p is not the
 // registered type (the registry then tries the next encoder).
@@ -90,9 +90,7 @@ func encodePayload(p sim.Payload) (name string, data []byte, err error) {
 }
 
 // DecodeBit parses the shared one-byte boolean payload encoding used by the
-// hot single-bit protocol payloads: ASCII '0' / '1', which is also a valid
-// JSON number so the same bytes ride the legacy JSON line protocol
-// unwrapped. The legacy JSON bools older senders emit are still accepted.
+// hot single-bit protocol payloads: ASCII '0' / '1'.
 func DecodeBit(data []byte) (bool, error) {
 	if len(data) == 1 {
 		switch data[0] {
@@ -101,12 +99,6 @@ func DecodeBit(data []byte) (bool, error) {
 		case '1':
 			return true, nil
 		}
-	}
-	switch string(data) {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
 	}
 	return false, fmt.Errorf("live: malformed bit payload %q", data)
 }

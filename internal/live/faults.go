@@ -20,10 +20,11 @@ import (
 // where a message's identity is the tuple (EdgeID, Kind, From, SentTick,
 // attempt). Goroutine scheduling therefore cannot change which messages are
 // dropped, duplicated, or jittered: two runs whose protocols emit the same
-// messages experience byte-identical faults. The decision is also made
-// before the message reaches any wire codec, so it is independent of the
-// encoding: a run behaves identically under the binary and JSON wire
-// formats (and over the in-process channel transport, which never encodes).
+// messages experience byte-identical faults. The decision is also made per
+// logical message before it reaches any wire codec, so it is independent of
+// how the stream transport frames messages into super-frames and of the
+// fabric beneath it (and matches the in-process channel transport, which
+// never encodes).
 
 // FaultConfig configures deterministic fault injection. The zero value
 // injects nothing (a pure pass-through that only counts traffic).

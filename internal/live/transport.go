@@ -69,13 +69,15 @@ type DrainReport struct {
 	// Clean is true when every queue emptied and every reliable send
 	// resolved before the deadline.
 	Clean bool
-	// AbandonedTimers counts armed latency-delay deliveries stopped at the
-	// start of the drain (they are also counted as transport drops — a
-	// draining process is leaving, so a not-yet-sent message is a loss).
+	// AbandonedTimers counts messages the drain gave up on before they
+	// reached a connection: armed latency-delay deliveries stopped at its
+	// start, and messages the draining transport refused or lost as closed
+	// (they are also counted as transport drops — a draining process is
+	// leaving, so a not-yet-sent message is a loss).
 	AbandonedTimers int64
-	// QueuedAtClose and PendingAtClose count writer-queue frames and unacked
-	// reliable sends still outstanding when the deadline expired (both zero
-	// on a clean drain).
+	// QueuedAtClose and PendingAtClose count logical messages not yet
+	// handed to reliable delivery and messages in unacked sends, still
+	// outstanding when the deadline expired (both zero on a clean drain).
 	QueuedAtClose  int
 	PendingAtClose int
 	// Wall is the drain's duration.

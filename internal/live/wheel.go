@@ -350,6 +350,7 @@ type timerWheel struct {
 	closed    bool
 	inflight  int64         // callbacks handed to a runner goroutine but not yet past the close check
 	executing int64         // callbacks past the close check and currently executing
+	idle      sync.Cond     // on mu; broadcast when executing drops to zero
 	wake      chan struct{} // cap 1: nudges the driver after an earlier arm
 }
 
@@ -359,11 +360,13 @@ func newTimerWheel(granule time.Duration) *timerWheel {
 	if granule <= 0 {
 		granule = defaultWheelGranule
 	}
-	return &timerWheel{
+	tw := &timerWheel{
 		granule: granule,
 		w:       newWheel[func()](),
 		wake:    make(chan struct{}, 1),
 	}
+	tw.idle.L = &tw.mu
+	return tw
 }
 
 // wheelTimer is one scheduled callback's cancel handle. The nil handle (from
@@ -414,9 +417,7 @@ func (tw *timerWheel) schedule(delay time.Duration, fn func()) *wheelTimer {
 			tw.executing++
 			tw.mu.Unlock()
 			fn()
-			tw.mu.Lock()
-			tw.executing--
-			tw.mu.Unlock()
+			tw.done()
 		}()
 		return &wheelTimer{}
 	}
@@ -453,6 +454,27 @@ func (tw *timerWheel) len() int {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	return tw.w.len() + int(tw.inflight) + int(tw.executing)
+}
+
+// done retires one executing callback.
+func (tw *timerWheel) done() {
+	tw.mu.Lock()
+	tw.executing--
+	if tw.executing == 0 {
+		tw.idle.Broadcast()
+	}
+	tw.mu.Unlock()
+}
+
+// wait blocks until no callback is executing. After close nothing new
+// starts, so the wait is bounded by the callbacks already running; a
+// callback must not call it.
+func (tw *timerWheel) wait() {
+	tw.mu.Lock()
+	for tw.executing > 0 {
+		tw.idle.Wait()
+	}
+	tw.mu.Unlock()
 }
 
 // close abandons every armed callback and returns how many — including
@@ -516,9 +538,7 @@ func (tw *timerWheel) drive() {
 					tw.executing++
 					tw.mu.Unlock()
 					fn()
-					tw.mu.Lock()
-					tw.executing--
-					tw.mu.Unlock()
+					tw.done()
 				}
 			}()
 		}

@@ -6,24 +6,21 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
-// This file is the binary wire codec of the TCP transport: a length-prefixed
-// frame format that replaces the JSON line protocol on the hot path. The JSON
-// format is retained behind WireJSON for debugging (gossipd -wire json);
-// receivers auto-detect the format per connection from the first byte, so a
-// binary daemon and a JSON daemon interoperate.
+// This file is the wire codec of the stream transport: a length-prefixed
+// binary frame format. Every data message crosses a stream connection inside
+// a FrameBatch super-frame — a single message is a batch of one — and acks
+// either ride a super-frame's header or travel in an ack-only frame.
 //
 // Frame layout (all integers varint-encoded unless noted):
 //
 //	frame   := header(1B) bodyLen(uvarint) body
 //	header  := version nibble (0001) | flag nibble
-//	flags   := 0x1 frame carries a data message
-//	           0x2 frame carries piggybacked acks
-//	           0x4 frame is a FrameBatch super-frame (excludes 0x1)
-//	body    := [acks] [data]                       // single-message frame
-//	         | [acks] count(uvarint) data ...      // FrameBatch: count >= 1
+//	flags   := 0x2 frame carries piggybacked acks
+//	           0x4 frame is a FrameBatch super-frame
+//	body    := acks                                // ack-only frame: flags 0x2
+//	         | [acks] count(uvarint) data ...      // super-frame: count >= 1
 //	acks    := count(uvarint) seq0(uvarint) delta1(uvarint) ...   // ascending
 //	data    := kind(1B) seqDelta(varint) from(varint) to(varint) edge(varint)
 //	           latency(varint) tickDelta(varint) ptype payload
@@ -32,22 +29,19 @@ import (
 //	         | n>=2                               // reference to table[n-2]
 //	payload := len(uvarint) bytes
 //
-// The header's version nibble (0x10 for v1) doubles as the format detector:
-// no JSON frame starts with 0x10..0x1F, and no binary frame starts with '{'.
-// Signed fields use zigzag varints (binary.AppendVarint) so any int
-// round-trips; acks are sorted and delta-encoded, so a batch of k
-// consecutive acks costs ~k+3 bytes instead of k frames. Payload type names
-// are interned per connection: the first frame carrying a type pays for the
-// name, every later frame references it with one byte.
+// Any other flag bit — including 0x1, the single-data frame of earlier
+// versions — makes the frame malformed. Signed fields use zigzag varints
+// (binary.AppendVarint) so any int round-trips; acks are sorted and
+// delta-encoded, so a batch of k consecutive acks costs ~k+3 bytes. Payload
+// type names are interned per connection: the first sub-message carrying a
+// type pays for the name, every later one references it with one byte.
+// Payload bytes are opaque to the codec.
 //
-// A FrameBatch super-frame (flag 0x4) carries N data sub-messages under one
-// header: every sub-message uses the identical field encoding as a single
-// data frame and the whole batch shares the connection's intern table and
-// Seq/SentTick delta chains, so a run of near-consecutive messages costs a
-// handful of bytes each. Acks hoist to the batch header exactly as on single
-// frames. The receiver acknowledges a batch once, with the Seq of its last
-// sub-message — the sender bookkeeps reliable delivery per batch, not per
-// message.
+// The N sub-messages of a super-frame share one header, the connection's
+// intern table and its Seq/SentTick delta chains, so a run of
+// near-consecutive messages costs a handful of bytes each. The receiver
+// acknowledges a super-frame once, with the Seq of its last sub-message — the
+// sender bookkeeps reliable delivery per super-frame, not per message.
 //
 // Seq and SentTick are delta-encoded against per-connection running state
 // (seqDelta is relative to lastSeq+1, tickDelta to lastTick, both with
@@ -55,46 +49,12 @@ import (
 // sequence numbers and ticks are near-monotonic, so both usually cost one
 // byte instead of growing with the run length. Both codec halves carry
 // connection state (these deltas, the intern table), so a decoder must see a
-// connection's frames in order from the start — exactly what a TCP stream
+// connection's frames in order from the start — exactly what a stream
 // provides.
-
-// WireFormat selects the TCP transport's frame encoding.
-type WireFormat uint8
-
-const (
-	// WireBinary is the length-prefixed binary format above (the default).
-	WireBinary WireFormat = iota
-	// WireJSON is the legacy JSON line format, kept for debugging and
-	// wire-level inspection (gossipd -wire json).
-	WireJSON
-)
-
-// String returns the gossipd -wire spelling of the format.
-func (f WireFormat) String() string {
-	switch f {
-	case WireBinary:
-		return "binary"
-	case WireJSON:
-		return "json"
-	}
-	return fmt.Sprintf("WireFormat(%d)", uint8(f))
-}
-
-// ParseWireFormat parses a -wire flag value.
-func ParseWireFormat(s string) (WireFormat, error) {
-	switch strings.ToLower(s) {
-	case "binary", "bin":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	}
-	return WireBinary, fmt.Errorf("live: unknown wire format %q (want binary or json)", s)
-}
 
 const (
 	wireVersion     = 0x10 // version 1 in the high nibble
 	wireVersionMask = 0xF0
-	wireFlagData    = 0x01
 	wireFlagAcks    = 0x02
 	wireFlagBatch   = 0x04
 
@@ -146,8 +106,7 @@ func appendAcks(body []byte, acks []uint64) []byte {
 }
 
 // appendSub appends one data sub-message to body, advancing the connection's
-// delta chains and intern table. Shared by single data frames and FrameBatch
-// super-frames — both carry the identical field encoding.
+// delta chains and intern table.
 func (e *wireEnc) appendSub(body []byte, w *wireMessage) []byte {
 	body = append(body, w.Kind)
 	body = binary.AppendVarint(body, int64(w.Seq-(e.lastSeq+1)))
@@ -179,39 +138,23 @@ func (e *wireEnc) appendSub(body []byte, w *wireMessage) []byte {
 	return append(body, w.Payload...)
 }
 
-// appendFrame appends one encoded frame to dst: the data message (nil for an
-// ack-only frame) plus any piggybacked acks. acks is sorted in place.
-func (e *wireEnc) appendFrame(dst []byte, w *wireMessage, acks []uint64) []byte {
+// appendFrame appends one frame to dst: a FrameBatch super-frame carrying
+// msgs under a single header, sharing this connection's intern table and
+// delta chains, with any acks hoisted to the header — or, when msgs is
+// empty, an ack-only frame. acks is sorted in place.
+func (e *wireEnc) appendFrame(dst []byte, msgs []wireMessage, acks []uint64) []byte {
 	body := e.scratch[:0]
 	var flags byte
 	if len(acks) > 0 {
 		flags |= wireFlagAcks
 		body = appendAcks(body, acks)
 	}
-	if w != nil {
-		flags |= wireFlagData
-		body = e.appendSub(body, w)
-	}
-	e.scratch = body
-	dst = append(dst, wireVersion|flags)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
-}
-
-// appendBatchFrame appends one FrameBatch super-frame to dst: len(msgs) >= 1
-// data sub-messages sharing this connection's intern table and delta chains
-// under a single header, plus any piggybacked acks hoisted to the batch
-// header. acks is sorted in place.
-func (e *wireEnc) appendBatchFrame(dst []byte, msgs []wireMessage, acks []uint64) []byte {
-	body := e.scratch[:0]
-	flags := byte(wireFlagBatch)
-	if len(acks) > 0 {
-		flags |= wireFlagAcks
-		body = appendAcks(body, acks)
-	}
-	body = binary.AppendUvarint(body, uint64(len(msgs)))
-	for i := range msgs {
-		body = e.appendSub(body, &msgs[i])
+	if len(msgs) > 0 {
+		flags |= wireFlagBatch
+		body = binary.AppendUvarint(body, uint64(len(msgs)))
+		for i := range msgs {
+			body = e.appendSub(body, &msgs[i])
+		}
 	}
 	e.scratch = body
 	dst = append(dst, wireVersion|flags)
@@ -303,38 +246,38 @@ func (d *wireDec) decodeSub(body []byte, off int, w *wireMessage) (int, error) {
 	return off, nil
 }
 
-// readFrameMulti reads one frame and decodes every data message it carries:
-// zero (an ack-only frame), one (a single data frame), or N (a FrameBatch
-// super-frame — batch reports which, so the receiver can acknowledge the
-// whole batch once with the last sub-message's Seq). The returned slices and
-// every msg's Payload alias decoder-owned buffers that are reused by the
-// next call, so all must be consumed before then. On error nothing is
-// returned: a frame decodes whole or not at all.
-func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMessage, batch bool, err error) {
+// readFrameMulti reads one frame and decodes what it carries: acks, plus
+// either no data (an ack-only frame) or the N >= 1 sub-messages of a
+// FrameBatch super-frame, which the receiver acknowledges once with the last
+// sub-message's Seq. The returned slices and every msg's Payload alias
+// decoder-owned buffers that are reused by the next call, so all must be
+// consumed before then. On error nothing is returned: a frame decodes whole
+// or not at all.
+func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMessage, err error) {
 	b0, err := br.ReadByte()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if b0&wireVersionMask != wireVersion {
-		return nil, nil, false, fmt.Errorf("%w: unknown header 0x%02x", errMalformedFrame, b0)
+		return nil, nil, fmt.Errorf("%w: unknown header 0x%02x", errMalformedFrame, b0)
 	}
 	flags := b0 &^ byte(wireVersionMask)
-	if flags&wireFlagBatch != 0 && flags&wireFlagData != 0 {
-		return nil, nil, false, fmt.Errorf("%w: batch and data flags together", errMalformedFrame)
+	if flags&^(wireFlagAcks|wireFlagBatch) != 0 {
+		return nil, nil, fmt.Errorf("%w: unknown flags 0x%x", errMalformedFrame, flags)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if n > maxWireBody {
-		return nil, nil, false, fmt.Errorf("%w: body of %d bytes exceeds limit", errMalformedFrame, n)
+		return nil, nil, fmt.Errorf("%w: body of %d bytes exceeds limit", errMalformedFrame, n)
 	}
 	if uint64(cap(d.body)) < n {
 		d.body = make([]byte, n)
 	}
 	body := d.body[:n]
 	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 
 	// Delta chains and the intern table advance as we decode; snapshot them so
@@ -352,18 +295,18 @@ func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMe
 	if flags&wireFlagAcks != 0 {
 		count, o, err := uvarintAt(body, off)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		off = o
 		if count > uint64(len(body)) { // each ack costs at least one byte
-			return nil, nil, false, errMalformedFrame
+			return nil, nil, errMalformedFrame
 		}
 		d.acks = d.acks[:0]
 		seq := uint64(0)
 		for i := uint64(0); i < count; i++ {
 			delta, o, err := uvarintAt(body, off)
 			if err != nil {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
 			off = o
 			seq += delta
@@ -371,63 +314,34 @@ func (d *wireDec) readFrameMulti(br *bufio.Reader) (acks []uint64, msgs []wireMe
 		}
 		acks = d.acks
 	}
-
-	count := uint64(0)
-	switch {
-	case flags&wireFlagBatch != 0:
-		c, o, err := uvarintAt(body, off)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		off = o
-		if c == 0 || c > uint64(len(body)) { // each sub-message costs >= 1 byte
-			return nil, nil, false, fmt.Errorf("%w: batch of %d sub-messages in %d-byte body", errMalformedFrame, c, len(body))
-		}
-		count, batch = c, true
-	case flags&wireFlagData != 0:
-		count = 1
-	default:
+	if flags&wireFlagBatch == 0 {
 		if off != len(body) {
-			return nil, nil, false, errMalformedFrame
+			return nil, nil, errMalformedFrame
 		}
-		return acks, nil, false, nil
+		return acks, nil, nil
 	}
 
+	count, off, err := uvarintAt(body, off)
+	if err != nil {
+		return nil, nil, err
+	}
+	if count == 0 || count > uint64(len(body)) { // each sub-message costs >= 1 byte
+		return nil, nil, fmt.Errorf("%w: batch of %d sub-messages in %d-byte body", errMalformedFrame, count, len(body))
+	}
 	d.msgs = d.msgs[:0]
 	for i := uint64(0); i < count; i++ {
 		var w wireMessage
 		o, err := d.decodeSub(body, off, &w)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 		off = o
 		d.msgs = append(d.msgs, w)
 	}
 	if off != len(body) {
-		return nil, nil, false, errMalformedFrame
+		return nil, nil, errMalformedFrame
 	}
-	return acks, d.msgs, batch, nil
-}
-
-// readFrame reads and decodes one frame carrying at most one data message —
-// the pre-batching call shape, kept for tests and the codec benchmark. On
-// hasData it fills *w; the returned ack slice and w.Payload alias
-// decoder-owned buffers that are reused by the next call, so both must be
-// consumed before then. A FrameBatch super-frame is rejected here; stream
-// consumers use readFrameMulti.
-func (d *wireDec) readFrame(br *bufio.Reader, w *wireMessage) (acks []uint64, hasData bool, err error) {
-	acks, msgs, batch, err := d.readFrameMulti(br)
-	if err != nil {
-		return nil, false, err
-	}
-	if batch {
-		return nil, false, fmt.Errorf("%w: unexpected batch frame", errMalformedFrame)
-	}
-	if len(msgs) == 0 {
-		return acks, false, nil
-	}
-	*w = msgs[0]
-	return acks, true, nil
+	return acks, d.msgs, nil
 }
 
 // uvarintAt decodes a uvarint at off, returning the value and the new offset.

@@ -4,29 +4,28 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 )
 
 // batchMsgs builds n wireMessages with consecutive seqs and near-monotonic
-// ticks, the shape a real aggregation pass hands appendBatchFrame.
+// ticks, the shape a real aggregation pass hands appendFrame.
 func batchMsgs(n int, firstSeq uint64) []wireMessage {
 	msgs := make([]wireMessage, n)
 	for i := range msgs {
 		msgs[i] = wireMessage{
 			Kind: 1, Seq: firstSeq + uint64(i),
 			From: i, To: i + 1, EdgeID: i, Latency: 1 + i%3, SentTick: 10 + i/4,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`true`),
+			PayloadType: "live_test.bit", Payload: []byte{'1'},
 		}
 	}
 	return msgs
 }
 
 // TestWireBatchRoundTrip encodes a FrameBatch super-frame with piggybacked
-// acks and decodes it back: every sub-message field survives, the acks come
-// back sorted, and the decoder flags the frame as a batch.
+// acks and decodes it back: every sub-message field survives and the acks
+// come back sorted.
 func TestWireBatchRoundTrip(t *testing.T) {
 	msgs := batchMsgs(17, 100)
 	// Make a few sub-messages adversarial: out-of-run seq, negative fields.
@@ -34,16 +33,13 @@ func TestWireBatchRoundTrip(t *testing.T) {
 	acks := []uint64{42, 7, 9000}
 
 	var enc wireEnc
-	wire := enc.appendBatchFrame(nil, msgs, append([]uint64(nil), acks...))
+	wire := enc.appendFrame(nil, msgs, append([]uint64(nil), acks...))
 
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
-	gotAcks, got, batch, err := dec.readFrameMulti(br)
+	gotAcks, got, err := dec.readFrameMulti(br)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !batch {
-		t.Fatal("decoder did not flag a batch frame")
 	}
 	wantAcks := []uint64{7, 42, 9000}
 	if len(gotAcks) != len(wantAcks) {
@@ -66,27 +62,27 @@ func TestWireBatchRoundTrip(t *testing.T) {
 			t.Errorf("sub-message %d: got %+v want %+v", i, g, want)
 		}
 	}
-	if _, _, _, err := dec.readFrameMulti(br); err == nil {
+	if _, _, err := dec.readFrameMulti(br); err == nil {
 		t.Error("expected EOF after the batch frame")
 	}
 }
 
-// TestWireBatchSharesConnectionState interleaves single frames and batch
-// frames through one encoder/decoder pair: the intern table and the
-// Seq/SentTick delta chains are connection state, shared across both frame
-// shapes in stream order.
+// TestWireBatchSharesConnectionState interleaves batches of one and wider
+// batches through one encoder/decoder pair: the intern table and the
+// Seq/SentTick delta chains are connection state, shared across frames in
+// stream order.
 func TestWireBatchSharesConnectionState(t *testing.T) {
 	single := wireMessage{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 9,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)}
+		PayloadType: "live_test.bit", Payload: []byte{'1'}}
 	batch := batchMsgs(8, 2) // references the type `single` defined
 	tail := wireMessage{Kind: 2, Seq: 10, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 12,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`false`)}
+		PayloadType: "live_test.bit", Payload: []byte{'0'}}
 
 	var enc wireEnc
-	wire := enc.appendFrame(nil, &single, nil)
+	wire := enc.appendOne(nil, single, nil)
 	defineCost := len(wire)
-	wire = enc.appendBatchFrame(wire, batch, nil)
-	wire = enc.appendFrame(wire, &tail, nil)
+	wire = enc.appendFrame(wire, batch, nil)
+	wire = enc.appendOne(wire, tail, nil)
 
 	// The batch must reference the interned type, never re-define it: 8
 	// sub-messages in well under 8 single defining frames' worth of bytes.
@@ -97,12 +93,12 @@ func TestWireBatchSharesConnectionState(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i, wantLen := range []int{1, 8, 1} {
-		_, msgs, isBatch, err := dec.readFrameMulti(br)
+		_, msgs, err := dec.readFrameMulti(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if len(msgs) != wantLen || isBatch != (wantLen > 1) {
-			t.Fatalf("frame %d: %d msgs batch=%v, want %d", i, len(msgs), isBatch, wantLen)
+		if len(msgs) != wantLen {
+			t.Fatalf("frame %d: %d msgs, want %d", i, len(msgs), wantLen)
 		}
 		for j, g := range msgs {
 			if g.PayloadType != "live_test.bit" {
@@ -116,36 +112,33 @@ func TestWireBatchSharesConnectionState(t *testing.T) {
 }
 
 // TestWireBatchAmortization checks the point of the super-frame: a batch of k
-// small messages costs materially less than k single frames carrying the
+// small messages costs materially less than k batches of one carrying the
 // identical messages.
 func TestWireBatchAmortization(t *testing.T) {
 	const k = 64
 	msgs := batchMsgs(k, 1)
 
 	var encSingle wireEnc
-	var singles []byte
-	for i := range msgs {
-		singles = encSingle.appendFrame(singles, &msgs[i], nil)
-	}
+	singles := encodeFrames(&encSingle, msgs)
 	var encBatch wireEnc
-	batched := encBatch.appendBatchFrame(nil, msgs, nil)
+	batched := encBatch.appendFrame(nil, msgs, nil)
 
 	if len(batched) >= len(singles) {
 		t.Fatalf("batch of %d = %dB, singles = %dB — no amortization", k, len(batched), len(singles))
 	}
-	// Each single frame pays header+len (2B) the batch pays once; expect at
-	// least k extra bytes saved.
+	// Each batch of one pays header+len+count (3B) the wide batch pays
+	// once; expect at least k extra bytes saved.
 	if len(singles)-len(batched) < k {
 		t.Errorf("batch saved only %dB over %d messages", len(singles)-len(batched), k)
 	}
 }
 
-// TestWireBatchMalformed covers the batch-specific rejection paths: both
-// batch and data flags set, a zero count, a count exceeding the body size, a
-// truncated sub-message run, and trailing garbage after the last sub-message.
+// TestWireBatchMalformed covers the batch-specific rejection paths: an
+// unknown flag next to the batch flag, a zero count, a count exceeding the
+// body size, a truncated sub-message run, and a single-data frame.
 func TestWireBatchMalformed(t *testing.T) {
 	var enc wireEnc
-	good := enc.appendBatchFrame(nil, batchMsgs(3, 1), nil)
+	good := enc.appendFrame(nil, batchMsgs(3, 1), nil)
 
 	reflag := func(wire []byte, flags byte) []byte {
 		out := append([]byte(nil), wire...)
@@ -162,7 +155,7 @@ func TestWireBatchMalformed(t *testing.T) {
 	hugeCount = append(hugeCount, body...)
 
 	cases := map[string][]byte{
-		"batch and data flags together": reflag(good, wireFlagBatch|wireFlagData),
+		"batch and data flags together": reflag(good, wireFlagBatch|0x1),
 		"zero count":                    zeroCount,
 		"count exceeds body":            hugeCount,
 		"truncated sub-messages":        good[:len(good)-4],
@@ -170,16 +163,19 @@ func TestWireBatchMalformed(t *testing.T) {
 	for name, wire := range cases {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		if _, _, _, err := dec.readFrameMulti(br); err == nil {
+		if _, _, err := dec.readFrameMulti(br); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 
-	// The single-frame wrapper must refuse batch frames outright.
-	br := bufio.NewReader(bytes.NewReader(good))
+	// A single-data frame (flag 0x1, the per-message shape of earlier wire
+	// versions) is refused outright, even when its body is well formed.
+	var one wireEnc
+	sub := one.appendSub(nil, &batchMsgs(1, 1)[0])
+	single := append(binary.AppendUvarint([]byte{wireVersion | 0x1}, uint64(len(sub))), sub...)
 	var dec wireDec
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
-		t.Errorf("readFrame on batch frame: err = %v, want errMalformedFrame", err)
+	if _, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(single))); !errors.Is(err, errMalformedFrame) {
+		t.Errorf("single-data frame: err = %v, want errMalformedFrame", err)
 	}
 }
 
@@ -189,16 +185,16 @@ func TestWireBatchMalformed(t *testing.T) {
 // only from frames that decoded whole.
 func TestWireBatchDecodeRollback(t *testing.T) {
 	var enc wireEnc
-	first := enc.appendFrame(nil, &wireMessage{Kind: 1, Seq: 5, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 7}, nil)
-	bad := enc.appendBatchFrame(nil, batchMsgs(4, 6), nil)
+	first := enc.appendOne(nil, wireMessage{Kind: 1, Seq: 5, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 7}, nil)
+	bad := enc.appendFrame(nil, batchMsgs(4, 6), nil)
 	bad = bad[:len(bad)-3] // corrupt the final sub-message
 
 	var dec wireDec
-	if _, msgs, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(first))); err != nil || len(msgs) != 1 {
+	if _, msgs, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(first))); err != nil || len(msgs) != 1 {
 		t.Fatalf("good frame: msgs=%d err=%v", len(msgs), err)
 	}
 	seq, tick, names := dec.lastSeq, dec.lastTick, len(dec.names)
-	if _, _, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+	if _, _, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 		t.Fatal("corrupt batch decoded without error")
 	}
 	if dec.lastSeq != seq || dec.lastTick != tick || len(dec.names) != names {
@@ -216,13 +212,13 @@ func TestWireBatchLarge(t *testing.T) {
 		msgs[i].PayloadType = fmt.Sprintf("live_test.t%d", i)
 	}
 	var enc wireEnc
-	wire := enc.appendBatchFrame(nil, msgs, nil)
+	wire := enc.appendFrame(nil, msgs, nil)
 	if len(wire) > maxWireBody {
 		t.Fatalf("max batch encodes to %dB, beyond maxWireBody %d", len(wire), maxWireBody)
 	}
 	var dec wireDec
-	_, got, batch, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(wire)))
-	if err != nil || !batch || len(got) != maxBatchMsgs {
-		t.Fatalf("decode: msgs=%d batch=%v err=%v", len(got), batch, err)
+	_, got, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil || len(got) != maxBatchMsgs {
+		t.Fatalf("decode: msgs=%d err=%v", len(got), err)
 	}
 }

@@ -4,27 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
-	"unicode/utf8"
 )
 
-// FuzzWireFrame cross-checks the two wire codecs: any wireMessage the fuzzer
-// constructs must round-trip the binary framing byte-exactly AND agree with
-// what the JSON line protocol reconstructs, so the formats stay semantically
-// interchangeable (the interop guarantee behind per-connection format
-// auto-detection).
-//
-// Payload bytes are wrapped as a JSON string before use: the JSON wire
-// requires payloads to be valid JSON documents (json.RawMessage), and every
-// registered payload codec produces one. The binary codec itself is
-// payload-agnostic, so the wrapping loses no binary-side coverage of the
-// length-prefixed framing.
+// FuzzWireFrame round-trips any wireMessage the fuzzer constructs through
+// the codec as a batch of one with a piggybacked ack pair: the decode must
+// reproduce every field, and re-encoding the decoded message on a fresh
+// encoder must reproduce the frame byte for byte. Payload and type-name
+// bytes are arbitrary — the codec treats both as opaque.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(uint8(1), uint64(1), 0, 1, 0, 1, 0, "", []byte(nil), uint64(0), uint64(0))
-	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("true"), uint64(3), uint64(4))
+	f.Add(uint8(2), uint64(1)<<40, 255, -256, 12345, -7, 99, "live_test.bit", []byte("1"), uint64(3), uint64(4))
 	f.Add(uint8(0xFF), uint64(0), -1, -1, -1, -1, -1, "core.rumors", []byte{0x00, 0xFF, 0x7B}, uint64(1), uint64(1))
 	f.Add(uint8(0), uint64(1<<63), 1<<31, -1<<31, 0, 0, -1<<40, "x", bytes.Repeat([]byte{0x7B}, 64), uint64(9), uint64(90))
 
@@ -32,41 +23,17 @@ func FuzzWireFrame(f *testing.F) {
 		ptype string, payload []byte, ack1, ack2 uint64) {
 		w := wireMessage{
 			Kind: kind, Seq: seq, From: from, To: to, EdgeID: edge,
-			Latency: latency, SentTick: sentTick,
+			Latency: latency, SentTick: sentTick, PayloadType: ptype, Payload: payload,
 		}
-		// Registered payload type names are Go string literals, always valid
-		// UTF-8; the JSON codec would coerce anything else to U+FFFD while
-		// the binary codec is byte-faithful. Mirror the registry invariant.
-		if !utf8.ValidString(ptype) {
-			ptype = strings.ToValidUTF8(ptype, "_")
-		}
-		if len(payload) > 0 {
-			// A payload without a type never occurs on the real wire (the
-			// codec seam always pairs them); mirror that invariant.
-			if ptype == "" {
-				ptype = "fuzz"
-			}
-			enc, err := json.Marshal(string(payload))
-			if err != nil {
-				t.Skip()
-			}
-			w.Payload = enc
-		}
-		if len(w.Payload) > 0 {
-			w.PayloadType = ptype
-		}
-
-		// Binary round trip, with a piggybacked ack pair.
 		var enc wireEnc
-		wire := enc.appendFrame(nil, &w, []uint64{ack1, ack2})
+		wire := enc.appendFrame(nil, []wireMessage{w}, []uint64{ack1, ack2})
 		var dec wireDec
-		var gotB wireMessage
-		acks, hasData, err := dec.readFrame(bufio.NewReader(bytes.NewReader(wire)), &gotB)
+		acks, msgs, err := dec.readFrameMulti(bufio.NewReader(bytes.NewReader(wire)))
 		if err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
+			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if !hasData {
-			t.Fatal("binary frame lost its data section")
+		if len(msgs) != 1 {
+			t.Fatalf("batch of one decoded to %d messages", len(msgs))
 		}
 		lo, hi := ack1, ack2
 		if lo > hi {
@@ -75,25 +42,16 @@ func FuzzWireFrame(f *testing.F) {
 		if len(acks) != 2 || acks[0] != lo || acks[1] != hi {
 			t.Fatalf("ack batch %v from (%d, %d)", acks, ack1, ack2)
 		}
-
-		// JSON round trip of the same message.
-		line, err := json.Marshal(&w)
-		if err != nil {
-			t.Fatalf("json encode: %v", err)
+		got := msgs[0]
+		if got.Kind != w.Kind || got.Seq != w.Seq || got.From != w.From ||
+			got.To != w.To || got.EdgeID != w.EdgeID || got.Latency != w.Latency ||
+			got.SentTick != w.SentTick || got.PayloadType != w.PayloadType ||
+			!bytes.Equal(got.Payload, w.Payload) {
+			t.Fatalf("round trip mutated the message:\n got %+v\nwant %+v", got, w)
 		}
-		var gotJ wireMessage
-		if err := json.Unmarshal(line, &gotJ); err != nil {
-			t.Fatalf("json decode of own encoding: %v", err)
-		}
-
-		// Both decodes must equal the original and therefore each other.
-		for name, got := range map[string]*wireMessage{"binary": &gotB, "json": &gotJ} {
-			if got.Kind != w.Kind || got.Seq != w.Seq || got.From != w.From ||
-				got.To != w.To || got.EdgeID != w.EdgeID || got.Latency != w.Latency ||
-				got.SentTick != w.SentTick || got.PayloadType != w.PayloadType ||
-				!bytes.Equal(got.Payload, w.Payload) {
-				t.Errorf("%s round trip mutated the message:\n got %+v\nwant %+v", name, *got, w)
-			}
+		var enc2 wireEnc
+		if re := enc2.appendFrame(nil, msgs, append([]uint64(nil), acks...)); !bytes.Equal(re, wire) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", re, wire)
 		}
 	})
 }
@@ -110,11 +68,14 @@ func FuzzWireFrame(f *testing.F) {
 func FuzzWireDecode(f *testing.F) {
 	frame := func(w *wireMessage, acks []uint64) []byte {
 		var enc wireEnc
-		return enc.appendFrame(nil, w, acks)
+		if w == nil {
+			return enc.appendFrame(nil, nil, acks)
+		}
+		return enc.appendOne(nil, *w, acks)
 	}
 	msg := &wireMessage{Kind: 1, Seq: 5, From: 0, To: 1, EdgeID: 3,
 		Latency: 2, SentTick: 7, PayloadType: "core.rumors", Payload: []byte(`{"x":1}`)}
-	f.Add(frame(msg, []uint64{3, 4, 9})) // well-formed data + acks
+	f.Add(frame(msg, []uint64{3, 4, 9})) // well-formed batch of one + acks
 	f.Add(frame(nil, []uint64{1}))       // ack-only frame
 	f.Add([]byte(`{"kind":1}` + "\n"))   // JSON line: unknown header byte
 
@@ -122,17 +83,17 @@ func FuzzWireDecode(f *testing.F) {
 	// references it through the intern table.
 	{
 		var enc wireEnc
-		s := enc.appendFrame(nil, msg, nil)
+		s := enc.appendOne(nil, *msg, nil)
 		m2 := *msg
 		m2.Seq, m2.SentTick = 6, 8
-		f.Add(enc.appendFrame(s, &m2, nil))
+		f.Add(enc.appendOne(s, m2, nil))
 	}
 
 	hdr := func(flags byte, body []byte) []byte {
 		return append(binary.AppendUvarint([]byte{wireVersion | flags}, uint64(len(body))), body...)
 	}
 	dataPrefix := func(kind byte) []byte {
-		body := []byte{kind}
+		body := []byte{1, kind}  // batch count 1, then the sub-message
 		for i := 0; i < 6; i++ { // seqDelta, from, to, edge, latency, tickDelta
 			body = binary.AppendVarint(body, 0)
 		}
@@ -147,22 +108,22 @@ func FuzzWireDecode(f *testing.F) {
 	{
 		body := binary.AppendUvarint(dataPrefix(1), 7)
 		body = binary.AppendUvarint(body, 0) // payload length
-		f.Add(hdr(wireFlagData, body))
+		f.Add(hdr(wireFlagBatch, body))
 	}
 	// Payload length running past the end of the body.
 	{
 		body := binary.AppendUvarint(dataPrefix(2), 0) // no payload type
 		body = binary.AppendUvarint(body, 1000)
-		f.Add(hdr(wireFlagData, body))
+		f.Add(hdr(wireFlagBatch, body))
 	}
 	// Type definition whose name length overruns the body.
 	{
 		body := binary.AppendUvarint(dataPrefix(3), 1) // define
 		body = binary.AppendUvarint(body, 200)         // nameLen > remaining
-		f.Add(hdr(wireFlagData, body))
+		f.Add(hdr(wireFlagBatch, body))
 	}
 	// Body length past the 4 MiB frame limit.
-	f.Add(binary.AppendUvarint([]byte{wireVersion | wireFlagData}, maxWireBody+1))
+	f.Add(binary.AppendUvarint([]byte{wireVersion | wireFlagBatch}, maxWireBody+1))
 	// Well-formed FrameBatch super-frame (three sub-messages + hoisted acks).
 	batchFrame := func() []byte {
 		var enc wireEnc
@@ -173,7 +134,7 @@ func FuzzWireDecode(f *testing.F) {
 				PayloadType: "core.rumors", Payload: []byte(`{"x":2}`)},
 			{Kind: 3, Seq: 7, From: 2, To: 0, EdgeID: 5, Latency: 3, SentTick: 8},
 		}
-		return enc.appendBatchFrame(nil, msgs, []uint64{2, 9})
+		return enc.appendFrame(nil, msgs, []uint64{2, 9})
 	}
 	f.Add(batchFrame())
 	// Truncated batch: the count promises three sub-messages, the body ends
@@ -186,23 +147,22 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(hdr(wireFlagBatch, binary.AppendUvarint(nil, 1<<40)))
 	// Zero-count batch: the encoder never emits one; malformed.
 	f.Add(hdr(wireFlagBatch, []byte{0}))
-	// Batch and data flags together: contradictory body shape; malformed.
+	// Batch flag plus the retired single-data flag 0x1: malformed.
 	{
-		body := append(binary.AppendUvarint(nil, 1), dataPrefix(1)...)
-		body = binary.AppendUvarint(body, 0) // ptype none
-		body = binary.AppendUvarint(body, 0) // payload length
-		f.Add(hdr(wireFlagBatch|wireFlagData, body))
+		body := binary.AppendUvarint(dataPrefix(1), 0) // ptype none
+		body = binary.AppendUvarint(body, 0)           // payload length
+		f.Add(hdr(wireFlagBatch|0x1, body))
 	}
-	// A single frame followed by a batch on the same stream: the batch's
-	// sub-messages must resolve the intern table and delta chains the first
-	// frame advanced.
+	// A batch of one followed by a wider batch on the same stream: the
+	// second frame's sub-messages must resolve the intern table and delta
+	// chains the first advanced.
 	{
 		var enc wireEnc
-		s := enc.appendFrame(nil, msg, nil)
+		s := enc.appendOne(nil, *msg, nil)
 		m2, m3 := *msg, *msg
 		m2.Seq, m2.SentTick = 6, 8
 		m3.Seq, m3.SentTick = 7, 8
-		f.Add(enc.appendBatchFrame(s, []wireMessage{m2, m3}, []uint64{5}))
+		f.Add(enc.appendFrame(s, []wireMessage{m2, m3}, []uint64{5}))
 	}
 	// Intern-table exhaustion: one stream defining maxInternedTypes+1 fresh
 	// types; the decoder must reject the frame that would overflow the table.
@@ -212,16 +172,23 @@ func FuzzWireDecode(f *testing.F) {
 		for i := 0; i <= maxInternedTypes; i++ {
 			m := wireMessage{Kind: 1, Seq: uint64(i + 1),
 				PayloadType: fmt.Sprintf("t%02d", i), Payload: []byte("0")}
-			s = enc.appendFrame(s, &m, nil)
+			s = enc.appendOne(s, m, nil)
 		}
 		f.Add(s)
+	}
+	// A single-data frame (flag 0x1), the per-message shape of earlier wire
+	// versions: well formed as it was, malformed now.
+	{
+		var enc wireEnc
+		body := enc.appendSub(nil, msg)
+		f.Add(hdr(0x1, body))
 	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		br := bufio.NewReader(bytes.NewReader(stream))
 		var dec wireDec
 		for {
-			acks, msgs, batch, err := dec.readFrameMulti(br)
+			acks, msgs, err := dec.readFrameMulti(br)
 			if err != nil {
 				// Rejection must be total: no partial results escape.
 				if len(msgs) > 0 || acks != nil {
@@ -237,18 +204,14 @@ func FuzzWireDecode(f *testing.F) {
 			if len(dec.names) > maxInternedTypes {
 				t.Fatalf("intern table grew to %d entries past the cap", len(dec.names))
 			}
-			if batch && len(msgs) == 0 {
-				t.Fatal("decoder accepted an empty batch frame")
-			}
 			if len(msgs) == 0 && len(acks) == 0 {
 				continue // empty frame: a legal no-op
 			}
 
 			// Anything the decoder accepts must survive a re-encode /
-			// re-decode round trip on a fresh connection pair — single frames
-			// through appendFrame, super-frames through appendBatchFrame. Copy
-			// out of the decoder-owned buffers first — the next readFrameMulti
-			// reuses them.
+			// re-decode round trip on a fresh connection pair. Copy out of the
+			// decoder-owned buffers first — the next readFrameMulti reuses
+			// them.
 			ackCopy := append([]uint64(nil), acks...)
 			msgCopy := make([]wireMessage, len(msgs))
 			for i, m := range msgs {
@@ -256,22 +219,14 @@ func FuzzWireDecode(f *testing.F) {
 				msgCopy[i].Payload = append([]byte(nil), m.Payload...)
 			}
 			var enc2 wireEnc
-			var re []byte
-			switch {
-			case batch:
-				re = enc2.appendBatchFrame(nil, msgCopy, ackCopy)
-			case len(msgCopy) == 1:
-				re = enc2.appendFrame(nil, &msgCopy[0], ackCopy)
-			default:
-				re = enc2.appendFrame(nil, nil, ackCopy)
-			}
+			re := enc2.appendFrame(nil, msgCopy, ackCopy)
 			var dec2 wireDec
-			acks2, msgs2, batch2, err := dec2.readFrameMulti(bufio.NewReader(bytes.NewReader(re)))
+			acks2, msgs2, err := dec2.readFrameMulti(bufio.NewReader(bytes.NewReader(re)))
 			if err != nil {
 				t.Fatalf("re-encode of accepted frame does not decode: %v", err)
 			}
-			if batch2 != batch || len(msgs2) != len(msgCopy) {
-				t.Fatalf("re-encode changed shape: batch %v→%v, msgs %d→%d", batch, batch2, len(msgCopy), len(msgs2))
+			if len(msgs2) != len(msgCopy) {
+				t.Fatalf("re-encode changed shape: msgs %d→%d", len(msgCopy), len(msgs2))
 			}
 			if len(acks2) != len(ackCopy) {
 				t.Fatalf("re-encode changed ack batch: %v -> %v", ackCopy, acks2)

@@ -3,26 +3,42 @@ package live
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
-
-	"gossip/internal/graph"
 )
 
-// encodeFrames is a test helper running appendFrame through one encoder.
-func encodeFrames(e *wireEnc, frames []wireMessage, acks [][]uint64) []byte {
+// encodeFrames is a test helper encoding each message as its own
+// super-frame (a batch of one) through one encoder.
+func encodeFrames(e *wireEnc, frames []wireMessage) []byte {
 	var out []byte
 	for i := range frames {
-		var a []uint64
-		if acks != nil {
-			a = acks[i]
-		}
-		out = e.appendFrame(out, &frames[i], a)
+		out = e.appendFrame(out, frames[i:i+1], nil)
 	}
 	return out
+}
+
+// appendOne encodes w as a batch of one with the given acks.
+func (e *wireEnc) appendOne(dst []byte, w wireMessage, acks []uint64) []byte {
+	return e.appendFrame(dst, []wireMessage{w}, acks)
+}
+
+// readOne reads one frame carrying at most one data message: an ack-only
+// frame or a batch of one. On hasData it returns the message; the returned
+// acks and the message's Payload alias decoder-owned buffers.
+func readOne(d *wireDec, br *bufio.Reader) (acks []uint64, w wireMessage, hasData bool, err error) {
+	acks, msgs, err := d.readFrameMulti(br)
+	if err != nil {
+		return nil, wireMessage{}, false, err
+	}
+	switch len(msgs) {
+	case 0:
+		return acks, wireMessage{}, false, nil
+	case 1:
+		return acks, msgs[0], true, nil
+	}
+	return nil, wireMessage{}, false, fmt.Errorf("frame carries %d messages, want at most 1", len(msgs))
 }
 
 // TestWireFrameRoundTrip encodes a table of messages and decodes them back,
@@ -32,19 +48,18 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	msgs := []wireMessage{
 		{Kind: 1, Seq: 1, From: 0, To: 1, EdgeID: 0, Latency: 1, SentTick: 0},
 		{Kind: 2, Seq: 1 << 40, From: 255, To: 256, EdgeID: 12345, Latency: 7, SentTick: 99,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)},
+			PayloadType: "live_test.bit", Payload: []byte{'1'}},
 		{Kind: 0xFF, Seq: 0, From: -1, To: -7, EdgeID: -3, Latency: -100, SentTick: -1 << 30},
 		{Kind: 1, Seq: 2, From: 3, To: 4, EdgeID: 5, Latency: 6, SentTick: 7,
-			PayloadType: "live_test.bit", Payload: json.RawMessage(`false`)},
+			PayloadType: "live_test.bit", Payload: []byte{0x00, 0xFF, '{'}},
 	}
 	var enc wireEnc
-	wire := encodeFrames(&enc, msgs, nil)
+	wire := encodeFrames(&enc, msgs)
 
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i, want := range msgs {
-		var got wireMessage
-		acks, hasData, err := dec.readFrame(br, &got)
+		acks, got, hasData, err := readOne(&dec, br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -58,7 +73,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, _, err := dec.readFrame(br, &wireMessage{}); err == nil {
+	if _, _, _, err := readOne(&dec, br); err == nil {
 		t.Error("expected EOF after last frame")
 	}
 }
@@ -68,10 +83,10 @@ func TestWireFrameRoundTrip(t *testing.T) {
 // so repeat frames are strictly smaller.
 func TestWirePayloadTypeInterning(t *testing.T) {
 	m := wireMessage{Kind: 1, Seq: 9, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "core.rumors", Payload: json.RawMessage(`{"n":4,"s":"0a"}`)}
+		PayloadType: "core.rumors", Payload: []byte(`{"n":4,"s":"0a"}`)}
 	var enc wireEnc
-	first := enc.appendFrame(nil, &m, nil)
-	second := enc.appendFrame(nil, &m, nil)
+	first := enc.appendOne(nil, m, nil)
+	second := enc.appendOne(nil, m, nil)
 	if len(second) >= len(first) {
 		t.Errorf("interned frame is %dB, first was %dB — expected smaller", len(second), len(first))
 	}
@@ -82,8 +97,8 @@ func TestWirePayloadTypeInterning(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), first...), second...)))
 	var dec wireDec
 	for i := 0; i < 2; i++ {
-		var got wireMessage
-		if _, _, err := dec.readFrame(br, &got); err != nil {
+		_, got, _, err := readOne(&dec, br)
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.PayloadType != m.PayloadType {
@@ -100,14 +115,13 @@ func TestWireAckBatch(t *testing.T) {
 	var enc wireEnc
 	ackOnly := enc.appendFrame(nil, nil, append([]uint64(nil), acks...))
 	m := wireMessage{Kind: 2, Seq: 4, From: 1, To: 0, EdgeID: 2, Latency: 3, SentTick: 6}
-	withData := enc.appendFrame(nil, &m, append([]uint64(nil), acks...))
+	withData := enc.appendOne(nil, m, append([]uint64(nil), acks...))
 
 	want := []uint64{7, 8, 9, 90, 1000000}
 	for name, wire := range map[string][]byte{"ack-only": ackOnly, "piggybacked": withData} {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		var got wireMessage
-		gotAcks, hasData, err := dec.readFrame(br, &got)
+		gotAcks, got, hasData, err := readOne(&dec, br)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -133,8 +147,8 @@ func TestWireAckBatch(t *testing.T) {
 func TestWireMalformedFrames(t *testing.T) {
 	var enc wireEnc
 	m := wireMessage{Kind: 1, Seq: 3, From: 1, To: 2, EdgeID: 3, Latency: 4, SentTick: 5,
-		PayloadType: "live_test.bit", Payload: json.RawMessage(`true`)}
-	good := enc.appendFrame(nil, &m, []uint64{1, 2})
+		PayloadType: "live_test.bit", Payload: []byte{'1'}}
+	good := enc.appendOne(nil, m, []uint64{1, 2})
 
 	cases := map[string][]byte{
 		"json leading byte":  []byte(`{"k":1}` + "\n"),
@@ -142,21 +156,20 @@ func TestWireMalformedFrames(t *testing.T) {
 		"truncated body":     good[:len(good)-3],
 		"body length lies":   append([]byte{good[0], byte(len(good))}, good[2:]...),
 		"type ref oob": (&wireEnc{names: map[string]uint64{m.PayloadType: 5}}).
-			appendFrame(nil, &m, nil), // encoder emits a table ref the decoder never saw defined
+			appendOne(nil, m, nil), // encoder emits a table ref the decoder never saw defined
 	}
 	for name, wire := range cases {
 		br := bufio.NewReader(bytes.NewReader(wire))
 		var dec wireDec
-		_, _, err := dec.readFrame(br, &wireMessage{})
-		if err == nil {
+		if _, _, err := dec.readFrameMulti(br); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 	// Specifically: corrupt structure inside a well-framed body must be
 	// errMalformedFrame so the transport counts it as a decode drop.
-	br := bufio.NewReader(bytes.NewReader([]byte{wireVersion | wireFlagData, 1, 0x01}))
+	br := bufio.NewReader(bytes.NewReader([]byte{wireVersion | wireFlagBatch, 2, 1, 0x01}))
 	var dec wireDec
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
+	if _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Errorf("truncated data section: err = %v, want errMalformedFrame", err)
 	}
 }
@@ -172,8 +185,8 @@ func TestWireInternTableBounded(t *testing.T) {
 	frame := func(ptype string) {
 		seq++
 		m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
-			SentTick: int(seq), PayloadType: ptype, Payload: json.RawMessage(`true`)}
-		wire = enc.appendFrame(wire, &m, nil)
+			SentTick: int(seq), PayloadType: ptype, Payload: []byte{'1'}}
+		wire = enc.appendOne(wire, m, nil)
 	}
 	for i := 0; i < maxInternedTypes; i++ {
 		frame(fmt.Sprintf("live_test.flood%03d", i))
@@ -183,11 +196,11 @@ func TestWireInternTableBounded(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(wire))
 	var dec wireDec
 	for i := 0; i < maxInternedTypes; i++ {
-		if _, _, err := dec.readFrame(br, &wireMessage{}); err != nil {
+		if _, _, err := dec.readFrameMulti(br); err != nil {
 			t.Fatalf("frame %d (within cap): %v", i, err)
 		}
 	}
-	if _, _, err := dec.readFrame(br, &wireMessage{}); !errors.Is(err, errMalformedFrame) {
+	if _, _, err := dec.readFrameMulti(br); !errors.Is(err, errMalformedFrame) {
 		t.Fatalf("define past cap: err = %v, want errMalformedFrame", err)
 	}
 	if len(dec.names) != maxInternedTypes {
@@ -201,80 +214,15 @@ func TestWireInternTableBounded(t *testing.T) {
 	enc2.lastSeq, enc2.lastTick = enc.lastSeq, enc.lastTick
 	seq++
 	m := wireMessage{Kind: 1, Seq: seq, From: 1, To: 2, EdgeID: 3, Latency: 4,
-		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: json.RawMessage(`true`)}
-	wire2 = enc2.appendFrame(wire2, &m, nil)
+		SentTick: int(seq), PayloadType: "live_test.flood000", Payload: []byte{'1'}}
+	wire2 = enc2.appendOne(wire2, m, nil)
 	br2 := bufio.NewReader(bytes.NewReader(wire2))
-	var got wireMessage
-	if _, _, err := dec.readFrame(br2, &got); err != nil {
+	_, got, _, err := readOne(&dec, br2)
+	if err != nil {
 		t.Fatalf("reference at cap: %v", err)
 	}
 	if got.PayloadType != "live_test.flood000" {
 		t.Fatalf("reference at cap resolved to %q", got.PayloadType)
-	}
-}
-
-// TestWireFormatParse covers the -wire flag vocabulary.
-func TestWireFormatParse(t *testing.T) {
-	for s, want := range map[string]WireFormat{"binary": WireBinary, "bin": WireBinary, "JSON": WireJSON} {
-		got, err := ParseWireFormat(s)
-		if err != nil || got != want {
-			t.Errorf("ParseWireFormat(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseWireFormat("protobuf"); err == nil {
-		t.Error("ParseWireFormat accepted an unknown format")
-	}
-	if WireBinary.String() != "binary" || WireJSON.String() != "json" {
-		t.Error("WireFormat.String mismatch")
-	}
-}
-
-// wirePair is tcpPair with explicit per-side wire formats.
-func wirePair(t *testing.T, fa, fb WireFormat) (a, b *TCPTransport) {
-	t.Helper()
-	a, b = tcpPair(t)
-	a.SetWireFormat(fa)
-	b.SetWireFormat(fb)
-	return a, b
-}
-
-// TestTCPWireInterop runs one exchange in each direction for every format
-// pairing: receivers auto-detect the sender's format per connection, so
-// mixed-format clusters interoperate.
-func TestTCPWireInterop(t *testing.T) {
-	for _, tc := range []struct{ fa, fb WireFormat }{
-		{WireBinary, WireBinary},
-		{WireJSON, WireJSON},
-		{WireBinary, WireJSON},
-		{WireJSON, WireBinary},
-	} {
-		t.Run(tc.fa.String()+"-to-"+tc.fb.String(), func(t *testing.T) {
-			a, b := wirePair(t, tc.fa, tc.fb)
-			if err := a.Send(Message{Kind: MsgRequest, From: 0, To: 1, EdgeID: 8, Latency: 2, SentTick: 3,
-				Payload: bitp{informed: true}}, 0); err != nil {
-				t.Fatal(err)
-			}
-			got := recvWithin(t, b.Recv(1), 5*time.Second)
-			if p, ok := got.Payload.(bitp); !ok || !p.informed || got.EdgeID != 8 {
-				t.Fatalf("a→b arrived mangled: %+v", got)
-			}
-			if err := b.Send(Message{Kind: MsgResponse, From: 1, To: 0, EdgeID: 8, Latency: 2, SentTick: 3,
-				Payload: bitp{}}, 0); err != nil {
-				t.Fatal(err)
-			}
-			got = recvWithin(t, a.Recv(0), 5*time.Second)
-			if got.Kind != MsgResponse {
-				t.Fatalf("b→a arrived mangled: %+v", got)
-			}
-			// Both directions acked: pendings must drain without retransmits.
-			deadline := time.Now().Add(3 * time.Second)
-			for a.pendingCount()+b.pendingCount() > 0 && time.Now().Before(deadline) {
-				time.Sleep(10 * time.Millisecond)
-			}
-			if n := a.pendingCount() + b.pendingCount(); n != 0 {
-				t.Errorf("%d sends still pending after acks", n)
-			}
-		})
 	}
 }
 
@@ -399,83 +347,5 @@ func TestTCPBrokenConnImmediateRedial(t *testing.T) {
 	}
 	if a.Dropped() != 0 {
 		t.Errorf("Dropped = %d after successful recovery", a.Dropped())
-	}
-}
-
-// TestTCPClusterBothFormats re-runs a small two-transport push-pull cluster
-// under each wire format, checking the protocol outcome is identical: the
-// encoding must be invisible to the algorithm.
-func TestTCPClusterBothFormats(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP cluster is not -short friendly")
-	}
-	g := graph.Clique(16, 2)
-	for _, f := range []WireFormat{WireBinary, WireJSON} {
-		t.Run(f.String(), func(t *testing.T) {
-			left := make([]graph.NodeID, 0, 8)
-			right := make([]graph.NodeID, 0, 8)
-			for u := 0; u < g.N(); u++ {
-				if u < g.N()/2 {
-					left = append(left, graph.NodeID(u))
-				} else {
-					right = append(right, graph.NodeID(u))
-				}
-			}
-			ta, err := NewTCPTransport("127.0.0.1:0", left, 1024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ta.Close()
-			tb, err := NewTCPTransport("127.0.0.1:0", right, 1024)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tb.Close()
-			ta.SetWireFormat(f)
-			tb.SetWireFormat(f)
-			addrs := make(map[graph.NodeID]string)
-			for _, u := range left {
-				addrs[u] = ta.Addr().String()
-			}
-			for _, u := range right {
-				addrs[u] = tb.Addr().String()
-			}
-			ta.SetPeers(addrs)
-			tb.SetPeers(addrs)
-
-			var ra, rb Result
-			var ea, eb error
-			done := make(chan struct{}, 2)
-			go func() {
-				ra, ea = Run(g, ppProto{source: 0}, ta, Options{Seed: 5, Tick: time.Millisecond, Nodes: left, Linger: 2 * time.Second})
-				done <- struct{}{}
-			}()
-			go func() {
-				rb, eb = Run(g, ppProto{source: 0}, tb, Options{Seed: 5, Tick: time.Millisecond, Nodes: right, Linger: 2 * time.Second})
-				done <- struct{}{}
-			}()
-			<-done
-			<-done
-			if ea != nil || eb != nil {
-				t.Fatalf("run errors: %v / %v", ea, eb)
-			}
-			if !ra.Completed || !rb.Completed {
-				t.Fatalf("cluster incomplete under %s wire", f)
-			}
-			informed := 0
-			for _, u := range left {
-				if ra.Done[u] {
-					informed++
-				}
-			}
-			for _, u := range right {
-				if rb.Done[u] {
-					informed++
-				}
-			}
-			if informed != g.N() {
-				t.Errorf("informed %d/%d under %s wire", informed, g.N(), f)
-			}
-		})
 	}
 }
