@@ -2,6 +2,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossip/internal/graph"
@@ -40,6 +41,8 @@ type shard struct {
 	wheel *wheel[Message] // delayed deliveries; one tick = one protocol tick
 	now   int64           // protocol ticks elapsed, advanced toward wall time
 	fired []Message       // scratch for wheel.advance
+
+	sweeps atomic.Int64 // completed node sweeps (see tick)
 
 	mu      sync.Mutex
 	q       []post // mailbox, guarded by mu
@@ -157,6 +160,7 @@ func (s *shard) tick() {
 	for i := range s.nodes {
 		s.nodes[i].onTick()
 	}
+	s.sweeps.Add(1)
 }
 
 // drainMail swaps out the mailbox under the lock and processes it outside:
